@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, List, Optional, Set, Tuple
 
 from ..errors import CatalogError, ConfigurationError, PlacementError
 from ..ids import AuthorId, DatasetId, NodeId, ReplicaId, SegmentId
@@ -120,6 +120,81 @@ class AllocationFabric:
         #: the sharded router). Resolve plan caches validate against it;
         #: with no plan cache enabled nothing reads it.
         self.plan_epoch = 0
+
+
+def under_budget(
+    redundancy: List[Tuple[SegmentId, int, int]]
+) -> List[Tuple[SegmentId, int]]:
+    """The repair queue of a :meth:`AllocationServer.segment_redundancy`
+    result: ``(segment, live)`` below budget, most-degraded first."""
+    out = [(seg_id, live) for seg_id, live, budget in redundancy if live < budget]
+    out.sort(key=lambda t: (t[1], t[0]))
+    return out
+
+
+class ControlScan:
+    """Host liveness for one control-plane pass, evaluated once per node.
+
+    A redundancy audit, a repair sweep or a migration plan asks about the
+    same few hosts once per replica. A scan evaluates server-side liveness
+    (offline set, then the liveness oracle) once per distinct node and
+    answers every later question from its memo; it also lists, once, the
+    trusted live hosts that may receive a new replica. It is valid only
+    while no node changes state and membership and the graph stay put, so
+    build one per pass (:meth:`AllocationServer.control_scan`) and never
+    keep it across engine events. One scan serves every shard of a
+    federation: shards share the fabric it reads.
+    """
+
+    __slots__ = ("_fabric", "_is_live", "_alive", "_dead", "_targets")
+
+    def __init__(
+        self, fabric: AllocationFabric, is_live: Callable[[NodeId], bool]
+    ) -> None:
+        self._fabric = fabric
+        self._is_live = is_live
+        self._alive: Set[NodeId] = set()
+        self._dead: Set[NodeId] = set()
+        self._targets: Optional[List[Tuple[AuthorId, NodeId]]] = None
+
+    def live(self, node: NodeId) -> bool:
+        """Whether ``node`` is live (memoized for the pass)."""
+        if node in self._alive:
+            return True
+        if node in self._dead:
+            return False
+        if self._is_live(node):
+            self._alive.add(node)
+            return True
+        self._dead.add(node)
+        return False
+
+    def count_live(self, nodes: Collection[NodeId]) -> int:
+        """How many of the distinct ``nodes`` are live."""
+        if self._alive.issuperset(nodes):
+            return len(nodes)  # the common case: one C-level membership sweep
+        return sum(map(self.live, nodes))
+
+    def target_hosts(self) -> List[Tuple[AuthorId, NodeId]]:
+        """``(author, node)`` of every registered host that is a member of
+        the current graph and live, in registration order."""
+        if self._targets is None:
+            graph = self._fabric.graph
+            self._targets = [
+                (a, n)
+                for a, n in self._fabric.node_of_author.items()
+                if a in graph and self.live(n)
+            ]
+        return self._targets
+
+    def eligible_targets(
+        self, catalog: ReplicaCatalog, segment_id: SegmentId
+    ) -> List[Tuple[AuthorId, NodeId]]:
+        """``(author, node)`` of the :meth:`target_hosts` holding no
+        non-retired replica of ``segment_id`` in ``catalog`` — the rule
+        behind :meth:`AllocationServer.eligible_migration_targets`."""
+        holders = {r.node_id for r in catalog.replicas_of_segment(segment_id)}
+        return [(a, n) for a, n in self.target_hosts() if n not in holders]
 
 
 class AllocationServer:
@@ -568,6 +643,10 @@ class AllocationServer:
         if node not in self._repos:
             raise ConfigurationError(f"unknown node {node!r}")
         return self._is_live(node)
+
+    def control_scan(self) -> ControlScan:
+        """A fresh :class:`ControlScan` (liveness memo) for one pass."""
+        return ControlScan(self.fabric, self._is_live)
 
     def state_transitions(self, node: NodeId) -> List[Tuple[float, str]]:
         """The recorded ``(time, "online"|"offline")`` transitions of a node.
@@ -1451,27 +1530,40 @@ class AllocationServer:
     # ------------------------------------------------------------------
     # management: repair, demand, migration
     # ------------------------------------------------------------------
-    def under_replicated(self) -> List[Tuple[SegmentId, int]]:
-        """Segments below their dataset's replica budget, counting only
-        replicas on live hosts (online, and alive per the liveness
-        oracle when one is installed)."""
-        out: List[Tuple[SegmentId, int]] = []
+    def segment_redundancy(
+        self, scan: Optional[ControlScan] = None
+    ) -> List[Tuple[SegmentId, int, int]]:
+        """``(segment, live, budget)`` for every segment, in catalog order.
+
+        ``live`` counts servable replicas on live hosts (online, and alive
+        per the liveness oracle when one is installed); ``budget`` is the
+        dataset's replica budget. One pass over the catalog's servable-host
+        index, with liveness evaluated once per distinct node (``scan``,
+        fresh when omitted). The redundancy audit and :meth:`under_replicated`
+        both derive from it.
+        """
+        count_live = (scan if scan is not None else self.control_scan()).count_live
+        hosts = self.catalog.servable_hosts
+        out: List[Tuple[SegmentId, int, int]] = []
+        append = out.append
         for ds in self.catalog.datasets():
             budget = self.replica_budget(ds.dataset_id)
             for seg in ds.segments:
-                live = [
-                    r
-                    for r in self.catalog.replicas_of_segment(
-                        seg.segment_id, servable_only=True
-                    )
-                    if self._is_live(r.node_id)
-                ]
-                if len(live) < budget:
-                    out.append((seg.segment_id, len(live)))
-        out.sort(key=lambda t: (t[1], t[0]))
+                seg_id = seg.segment_id
+                append((seg_id, count_live(hosts(seg_id)), budget))
         return out
 
-    def eligible_migration_targets(self, segment_id: SegmentId) -> List[AuthorId]:
+    def under_replicated(
+        self, scan: Optional[ControlScan] = None
+    ) -> List[Tuple[SegmentId, int]]:
+        """Segments below their dataset's replica budget, counting only
+        replicas on live hosts (online, and alive per the liveness
+        oracle when one is installed); most-degraded first."""
+        return under_budget(self.segment_redundancy(scan))
+
+    def eligible_migration_targets(
+        self, segment_id: SegmentId, scan: Optional[ControlScan] = None
+    ) -> List[AuthorId]:
         """Authors whose nodes may receive a new replica of ``segment_id``.
 
         A target must be trusted (a member of the *current* graph — the
@@ -1488,16 +1580,12 @@ class AllocationServer:
         and demand-driven migration cannot diverge on who may host.
         Capacity is intentionally not checked here — it changes between
         planning and execution, so placers re-check ``can_host`` when they
-        actually store bytes.
+        actually store bytes. A pass that asks for many segments passes
+        one ``scan`` so the trusted live hosts are listed once.
         """
-        self.catalog.segment(segment_id)  # raises CatalogError if unknown
-        holders = {r.node_id for r in self.catalog.replicas_of_segment(segment_id)}
-        graph = self.fabric.graph
-        return [
-            a
-            for a, n in self._node_of_author.items()
-            if a in graph and self._is_live(n) and n not in holders
-        ]
+        if scan is None:
+            scan = self.control_scan()
+        return [a for a, _ in scan.eligible_targets(self.catalog, segment_id)]
 
     def untrusted_hosts(self) -> List[NodeId]:
         """Registered nodes whose author the current graph no longer admits.
@@ -1511,7 +1599,12 @@ class AllocationServer:
             n for a, n in self._node_of_author.items() if a not in self.fabric.graph
         )
 
-    def repair(self, *, at: float = 0.0) -> List[Replica]:
+    def repair(
+        self,
+        *,
+        at: float = 0.0,
+        redundancy: Optional[List[Tuple[SegmentId, int, int]]] = None,
+    ) -> List[Replica]:
         """Re-replicate every under-replicated segment onto new hosts.
 
         New hosts are chosen by the placement algorithm over online hosts
@@ -1527,10 +1620,19 @@ class AllocationServer:
         ``alloc.repair.no_verified_source``. Segments left below budget
         because no eligible host remained are counted on
         ``alloc.repair.starved``.
+
+        ``redundancy`` is a :meth:`segment_redundancy` result for the
+        current state, for callers that already hold one (the redundancy
+        audit); the repair queue is then derived from it, not rescanned.
         """
+        scan = self.control_scan()
+        if redundancy is None:
+            queue = self.under_replicated(scan)
+        else:
+            queue = under_budget(redundancy)
         created: List[Replica] = []
-        for segment_id, live in self.under_replicated():
-            created.extend(self._repair_segment(segment_id, live, at=at))
+        for segment_id, live in queue:
+            created.extend(self._repair_segment(segment_id, live, scan, at=at))
         self._m_repairs.inc(len(created))
         return created
 
@@ -1538,6 +1640,7 @@ class AllocationServer:
         self,
         segment_id: SegmentId,
         live: int,
+        scan: ControlScan,
         *,
         at: float = 0.0,
         origin: Optional[NodeId] = None,
@@ -1549,7 +1652,8 @@ class AllocationServer:
         global segment order — and therefore the same placement-RNG draw
         sequence — as a single server, dispatching each segment to the
         shard that owns it. Does not touch ``alloc.repair.replicas``;
-        the caller counts the grand total.
+        the caller counts the grand total. ``scan`` is the sweep's
+        liveness memo: repairs create replicas but change no node state.
 
         With ``origin`` given while the network is partitioned, both copy
         sources and placement targets are confined to nodes reachable
@@ -1573,7 +1677,7 @@ class AllocationServer:
             for r in self.catalog.replicas_of_segment(
                 segment_id, servable_only=True
             )
-            if self._is_live(r.node_id)
+            if scan.live(r.node_id)
             and (reach is None or reach(origin, r.node_id))
             and self.replica_verified(r)
         ]
@@ -1589,7 +1693,7 @@ class AllocationServer:
         segment = self.catalog.segment(segment_id)
         budget = self.replica_budget(segment.dataset_id)
         need = budget - live
-        eligible = self.eligible_migration_targets(segment_id)
+        eligible = self.eligible_migration_targets(segment_id, scan)
         if reach is not None:
             eligible = [
                 a

@@ -72,6 +72,12 @@ class ReplicaCatalog:
         # or changes state. Every state transition flows through the catalog
         # methods below, so the cache cannot go stale.
         self._servable_cache: Dict[SegmentId, List[Replica]] = {}
+        # per-segment servable-host index: the nodes of the servable
+        # replicas, in creation order. Dropped at the same sites as
+        # _servable_cache and at dataset (un)registration. Redundancy
+        # scans read it without copying replica lists or moving the
+        # servable_cache counters.
+        self._servable_hosts: Dict[SegmentId, Tuple[NodeId, ...]] = {}
         # per-segment mutation epoch: bumped on every event that can change
         # the servable view (the same sites that drop _servable_cache, plus
         # dataset registration). Entries survive unregister_dataset so a
@@ -99,6 +105,7 @@ class ReplicaCatalog:
         """A replica of ``segment_id`` was created or changed state: drop
         the memoized servable view and advance the segment epoch."""
         self._servable_cache.pop(segment_id, None)
+        self._servable_hosts.pop(segment_id, None)
         self._epoch[segment_id] = self._epoch.get(segment_id, 0) + 1
         self._m_servable_invalidations.inc()
 
@@ -119,6 +126,7 @@ class ReplicaCatalog:
         for seg in dataset.segments:
             self._segments[seg.segment_id] = seg
             self._by_segment.setdefault(seg.segment_id, [])
+            self._servable_hosts.pop(seg.segment_id, None)
             # epoch bump without the invalidation counter: no memoized view
             # can exist for a segment that was not resolvable, but any plan
             # cached against this segment id's previous life must die here
@@ -251,6 +259,22 @@ class ReplicaCatalog:
             return list(cached)
         return [r for r in reps if r.state is not ReplicaState.RETIRED]
 
+    def servable_hosts(self, segment_id: SegmentId) -> Tuple[NodeId, ...]:
+        """Nodes holding a servable replica of ``segment_id``, in replica
+        creation order (one servable replica per node at most).
+
+        The control plane's redundancy index: memoized per segment and
+        dropped at every site that bumps the segment's epoch, so it is
+        never stale. Moves no ``catalog.servable_cache.*`` counter.
+        """
+        hosts = self._servable_hosts.get(segment_id)
+        if hosts is None:
+            if segment_id not in self._segments:
+                raise CatalogError(f"unknown segment {segment_id!r}")
+            hosts = tuple(r.node_id for r in self._by_segment[segment_id] if r.servable)
+            self._servable_hosts[segment_id] = hosts
+        return hosts
+
     def replicas_of_dataset(
         self, dataset_id: DatasetId, *, servable_only: bool = False
     ) -> List[Replica]:
@@ -271,7 +295,7 @@ class ReplicaCatalog:
 
     def nodes_hosting(self, segment_id: SegmentId) -> Set[NodeId]:
         """Nodes with a servable replica of ``segment_id``."""
-        return {r.node_id for r in self.replicas_of_segment(segment_id, servable_only=True)}
+        return set(self.servable_hosts(segment_id))
 
     def retire(self, replica_id: ReplicaId) -> Replica:
         """Mark a replica RETIRED (kept for audit; excluded from lookups)."""
@@ -336,7 +360,7 @@ class ReplicaCatalog:
     # ------------------------------------------------------------------
     def redundancy(self, segment_id: SegmentId) -> int:
         """Number of servable replicas of a segment."""
-        return len(self.replicas_of_segment(segment_id, servable_only=True))
+        return len(self.servable_hosts(segment_id))
 
     def total_replicas(self) -> int:
         """Count of non-retired replicas across the catalog."""
@@ -356,10 +380,10 @@ class ReplicaCatalog:
         Returns ``(segment_id, current_redundancy)`` pairs, most-degraded
         first — the repair queue for :class:`~repro.cdn.replication.ReplicationPolicy`.
         """
-        out = [
-            (seg_id, self.redundancy(seg_id))
-            for seg_id in self._segments
-            if self.redundancy(seg_id) < min_replicas
-        ]
+        out = []
+        for seg_id in self._segments:
+            n = len(self.servable_hosts(seg_id))
+            if n < min_replicas:
+                out.append((seg_id, n))
         out.sort(key=lambda t: (t[1], t[0]))
         return out

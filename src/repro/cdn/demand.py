@@ -19,6 +19,8 @@ events lost to ring overwrite between ingests are counted on
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -27,6 +29,7 @@ from ..obs import Registry, get_registry
 
 #: Rates below this are dropped at fold time to bound tracker memory.
 _RATE_FLOOR = 1e-12
+_seq_of = attrgetter("seq")
 
 
 class DemandTracker:
@@ -123,14 +126,12 @@ class DemandTracker:
         heuristic signal and tolerate the undercount.
         """
         ingested = 0
-        max_seen = self._last_seq
-        oldest_retained: Optional[int] = None
-        for ev in registry.traces.events():
-            if oldest_retained is None:
-                oldest_retained = ev.seq
-            if ev.seq <= self._last_seq:
-                continue
-            max_seen = max(max_seen, ev.seq)
+        events = registry.traces.events()
+        oldest_retained = events[0].seq if events else None
+        # events come oldest first, so the unseen ones are a suffix
+        fresh = events[bisect_right(events, self._last_seq, key=_seq_of) :]
+        max_seen = fresh[-1].seq if fresh else self._last_seq
+        for ev in fresh:
             if ev.kind != "resolve":
                 continue
             segment = ev.fields.get("segment")

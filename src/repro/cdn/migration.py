@@ -34,14 +34,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Set, Tuple
+
+import numpy as np
 
 from ..errors import CatalogError, ConfigurationError, PlacementError, TransferError
 from ..ids import AuthorId, NodeId, ReplicaId, SegmentId
 from ..obs import Registry, get_registry
 from ..rng import SeedLike, make_rng, spawn
 from ..sim.engine import SimulationEngine
-from .allocation import AllocationServer
+from .allocation import AllocationServer, ControlScan
 from .content import ReplicaState
 from .demand import DemandTracker
 from .transfer import TransferClient, TransferRequest
@@ -147,6 +150,39 @@ class MigrationReport:
     bytes_started: int
 
 
+@dataclass(slots=True)
+class _PlanPass:
+    """State of one :meth:`MigrationPlanner.plan` call.
+
+    Planning changes no node state, so one liveness memo (``scan``) and
+    one free-space reading per target host (``room``: free replica bytes
+    less in-flight reservations) serve the whole pass. ``claimed`` holds
+    the bytes promised to each target by actions planned so far, so two
+    moves cannot promise the same free space; ``taken`` the (segment,
+    target) pairs claimed.
+    """
+
+    scan: ControlScan
+    #: reads a node's room; consulted once per node per pass
+    measure_room: Callable[[NodeId], int]
+    room: Dict[NodeId, int] = field(default_factory=dict)
+    claimed: Dict[NodeId, int] = field(default_factory=dict)
+    taken: Set[Tuple[SegmentId, NodeId]] = field(default_factory=set)
+
+    def fits(self, node: NodeId, size_bytes: int) -> bool:
+        """Whether ``node`` has room for ``size_bytes`` more on top of this
+        pass's claims (executors re-check at store time)."""
+        room = self.room.get(node)
+        if room is None:
+            room = self.room[node] = self.measure_room(node)
+        return size_bytes + self.claimed.get(node, 0) <= room
+
+    def claim(self, segment_id: SegmentId, node: NodeId, size_bytes: int) -> None:
+        """Promise ``size_bytes`` on ``node`` to a move of ``segment_id``."""
+        self.claimed[node] = self.claimed.get(node, 0) + size_bytes
+        self.taken.add((segment_id, node))
+
+
 class MigrationPlanner:
     """Turns demand rates, node load, and the trust boundary into actions.
 
@@ -180,47 +216,37 @@ class MigrationPlanner:
     # ------------------------------------------------------------------
     # capacity bookkeeping (plan-time; executors re-check at store time)
     # ------------------------------------------------------------------
-    def _has_room(
-        self, node: NodeId, size_bytes: int, claimed: Dict[NodeId, int]
-    ) -> bool:
-        repo = self.server.repository(node)
-        reserved = (
-            self._executor.reserved_bytes(node) if self._executor is not None else 0
-        )
-        return repo.can_host(size_bytes + reserved + claimed.get(node, 0))
+    def _reserved(self, node: NodeId) -> int:
+        return self._executor.reserved_bytes(node) if self._executor is not None else 0
+
+    def _room(self, node: NodeId) -> int:
+        """Free replica bytes on ``node`` less in-flight reservations."""
+        return self.server.repository(node).replica_free_bytes - self._reserved(node)
 
     def plan(self, *, at: float = 0.0) -> List[MigrationAction]:
         """Propose this cycle's actions: evictions, rebalances, promotions."""
         actions: List[MigrationAction] = []
-        #: bytes claimed on each target by actions planned this cycle, so
-        #: two moves cannot promise the same free space
-        claimed: Dict[NodeId, int] = {}
-        #: (segment, target) pairs claimed this cycle
-        taken: Set[Tuple[SegmentId, NodeId]] = set()
-        self._plan_evictions(actions, claimed, taken, at)
-        self._plan_rebalances(actions, claimed, taken, at)
-        self._plan_promotions(actions, claimed, taken, at)
+        pas = _PlanPass(self.server.control_scan(), self._room)
+        self._plan_evictions(actions, pas, at)
+        self._plan_rebalances(actions, pas, at)
+        self._plan_promotions(actions, pas, at)
         return actions
 
     # ------------------------------------------------------------------
     # EVICT_UNTRUSTED
     # ------------------------------------------------------------------
-    def _trusted_servable(self, segment_id: SegmentId) -> int:
+    def _trusted_servable(self, segment_id: SegmentId, scan: ControlScan) -> int:
         """Servable live replicas of a segment on trusted nodes."""
         server = self.server
+        graph = server.graph
         return sum(
             1
-            for r in server.catalog.replicas_of_segment(segment_id, servable_only=True)
-            if server.is_online(r.node_id)
-            and server.author_of(r.node_id) in server.graph
+            for node in server.catalog.servable_hosts(segment_id)
+            if scan.live(node) and server.author_of(node) in graph
         )
 
     def _plan_evictions(
-        self,
-        actions: List[MigrationAction],
-        claimed: Dict[NodeId, int],
-        taken: Set[Tuple[SegmentId, NodeId]],
-        at: float,
+        self, actions: List[MigrationAction], pas: _PlanPass, at: float
     ) -> None:
         server = self.server
         for node in server.untrusted_hosts():
@@ -232,7 +258,7 @@ class MigrationPlanner:
                 budget = server.replica_budget(
                     server.catalog.segment(seg_id).dataset_id
                 )
-                if not rep.servable or self._trusted_servable(seg_id) >= budget:
+                if not rep.servable or self._trusted_servable(seg_id, pas.scan) >= budget:
                     # nothing to copy first: the copy is out of service
                     # already, or trusted redundancy is met without it
                     # (the executor re-validates before retiring)
@@ -247,7 +273,7 @@ class MigrationPlanner:
                     )
                     continue
                 size = server.catalog.segment(seg_id).size_bytes
-                target = self._evict_target(seg_id, size, claimed, taken)
+                target = self._evict_target(seg_id, size, pas)
                 if target is None:
                     self._m_skipped.inc()
                     self.obs.trace(
@@ -258,8 +284,7 @@ class MigrationPlanner:
                         reason="no-eligible-target",
                     )
                     continue
-                claimed[target] = claimed.get(target, 0) + size
-                taken.add((seg_id, target))
+                pas.claim(seg_id, target, size)
                 actions.append(
                     MigrationAction(
                         kind=MigrationKind.EVICT_UNTRUSTED,
@@ -271,20 +296,16 @@ class MigrationPlanner:
                 )
 
     def _evict_target(
-        self,
-        segment_id: SegmentId,
-        size_bytes: int,
-        claimed: Dict[NodeId, int],
-        taken: Set[Tuple[SegmentId, NodeId]],
+        self, segment_id: SegmentId, size_bytes: int, pas: _PlanPass
     ) -> Optional[NodeId]:
         """Least-loaded eligible trusted host (determinism: ties by node id)."""
         server = self.server
         best: Optional[Tuple[int, str, NodeId]] = None
-        for author in server.eligible_migration_targets(segment_id):
+        for author in server.eligible_migration_targets(segment_id, pas.scan):
             node = server.node_of(author)
-            if (segment_id, node) in taken:
+            if (segment_id, node) in pas.taken:
                 continue
-            if not self._has_room(node, size_bytes, claimed):
+            if not pas.fits(node, size_bytes):
                 continue
             key = (server.repository(node).reads_served, str(node), node)
             if best is None or key < best:
@@ -296,17 +317,13 @@ class MigrationPlanner:
     # ------------------------------------------------------------------
     def _utilization(self, node: NodeId) -> float:
         repo = self.server.repository(node)
-        quota = repo.replica_used_bytes + repo.replica_free_bytes
+        quota = repo.replica_quota_bytes
         if quota <= 0:
             return 0.0
         return repo.replica_used_bytes / quota
 
     def _plan_rebalances(
-        self,
-        actions: List[MigrationAction],
-        claimed: Dict[NodeId, int],
-        taken: Set[Tuple[SegmentId, NodeId]],
-        at: float,
+        self, actions: List[MigrationAction], pas: _PlanPass, at: float
     ) -> None:
         server = self.server
         config = self.config
@@ -314,7 +331,7 @@ class MigrationPlanner:
             if author not in server.graph:
                 continue  # untrusted hosts are the eviction pass's problem
             node = server.node_of(author)
-            if not server.is_online(node):
+            if not pas.scan.live(node):
                 continue
             if self._utilization(node) <= config.load_watermark:
                 continue
@@ -331,11 +348,10 @@ class MigrationPlanner:
                 if moved:
                     break
                 size = server.catalog.segment(rep.segment_id).size_bytes
-                target = self._rebalance_target(rep.segment_id, size, claimed, taken)
+                target = self._rebalance_target(rep.segment_id, size, pas)
                 if target is None:
                     continue
-                claimed[target] = claimed.get(target, 0) + size
-                taken.add((rep.segment_id, target))
+                pas.claim(rep.segment_id, target, size)
                 actions.append(
                     MigrationAction(
                         kind=MigrationKind.REBALANCE,
@@ -357,26 +373,20 @@ class MigrationPlanner:
                 )
 
     def _rebalance_target(
-        self,
-        segment_id: SegmentId,
-        size_bytes: int,
-        claimed: Dict[NodeId, int],
-        taken: Set[Tuple[SegmentId, NodeId]],
+        self, segment_id: SegmentId, size_bytes: int, pas: _PlanPass
     ) -> Optional[NodeId]:
         """Least-utilized eligible host that stays under the watermark."""
         server = self.server
         best: Optional[Tuple[float, int, str, NodeId]] = None
-        for author in server.eligible_migration_targets(segment_id):
+        for author in server.eligible_migration_targets(segment_id, pas.scan):
             node = server.node_of(author)
-            if (segment_id, node) in taken:
+            if (segment_id, node) in pas.taken:
                 continue
-            if not self._has_room(node, size_bytes, claimed):
+            if not pas.fits(node, size_bytes):
                 continue
             repo = server.repository(node)
-            quota = repo.replica_used_bytes + repo.replica_free_bytes
-            pending = claimed.get(node, 0) + (
-                self._executor.reserved_bytes(node) if self._executor else 0
-            )
+            quota = repo.replica_quota_bytes
+            pending = pas.claimed.get(node, 0) + self._reserved(node)
             util_after = (
                 (repo.replica_used_bytes + pending + size_bytes) / quota
                 if quota > 0
@@ -393,11 +403,7 @@ class MigrationPlanner:
     # PROMOTE
     # ------------------------------------------------------------------
     def _plan_promotions(
-        self,
-        actions: List[MigrationAction],
-        claimed: Dict[NodeId, int],
-        taken: Set[Tuple[SegmentId, NodeId]],
-        at: float,
+        self, actions: List[MigrationAction], pas: _PlanPass, at: float
     ) -> None:
         server = self.server
         config = self.config
@@ -407,18 +413,15 @@ class MigrationPlanner:
             except CatalogError:
                 continue  # demand outlived the dataset
             budget = server.replica_budget(segment.dataset_id)
-            servable = sum(
-                1
-                for r in server.catalog.replicas_of_segment(seg_id, servable_only=True)
-                if server.is_online(r.node_id)
-            )
+            servable = pas.scan.count_live(server.catalog.servable_hosts(seg_id))
             if servable >= budget + config.promote_headroom:
                 continue
+            size = segment.size_bytes
+            taken = {node for seg, node in pas.taken if seg == seg_id}
             eligible = [
                 a
-                for a in server.eligible_migration_targets(seg_id)
-                if (seg_id, server.node_of(a)) not in taken
-                and self._has_room(server.node_of(a), segment.size_bytes, claimed)
+                for a, node in pas.scan.eligible_targets(server.catalog, seg_id)
+                if node not in taken and pas.fits(node, size)
             ]
             if not eligible:
                 self._m_skipped.inc()
@@ -435,8 +438,7 @@ class MigrationPlanner:
                 self._m_skipped.inc()
                 continue
             node = server.node_of(author)
-            claimed[node] = claimed.get(node, 0) + segment.size_bytes
-            taken.add((seg_id, node))
+            pas.claim(seg_id, node, segment.size_bytes)
             actions.append(
                 MigrationAction(
                     kind=MigrationKind.PROMOTE,
@@ -457,17 +459,27 @@ class MigrationPlanner:
         server = self.server
         requesters = self.demand.top_requesters(segment_id, n=5)
         if requesters:
-            best: Optional[Tuple[float, int, str, AuthorId]] = None
-            for author in sorted(eligible):
-                score = 0.0
-                for req, weight in requesters:
-                    d = server.hops_from(req).get(author)
-                    score += weight * (d if d is not None else _UNREACHABLE_HOPS)
-                load = server.repository(server.node_of(author)).reads_served
-                key = (score, load, str(author), author)
-                if best is None or key < best:
-                    best = key
-            return best[3] if best is not None else None
+            if not eligible:
+                return None
+            n = len(eligible)
+            # score = sum of weight x hops in requester order, one hop map
+            # per requester; elementwise float64 ops, so bit-equal to the
+            # scalar sum
+            scores = np.zeros(n)
+            for req, weight in requesters:
+                hops = server.hops_from(req)
+                dist = np.fromiter(
+                    map(hops.get, eligible, repeat(_UNREACHABLE_HOPS, n)),
+                    dtype=np.int64,
+                    count=n,
+                )
+                scores += weight * dist
+            # lowest score; ties by node load, then author id
+            tied = [eligible[i] for i in np.flatnonzero(scores == scores.min())]
+            return min(
+                (server.repository(server.node_of(a)).reads_served, str(a), a)
+                for a in tied
+            )[2]
         sub = server.graph.subgraph_view(eligible)
         (rng,) = spawn(self._rng, 1)
         try:

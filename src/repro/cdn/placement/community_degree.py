@@ -63,7 +63,7 @@ class CommunityNodeDegreePlacement(PlacementAlgorithm):
         self._validate(graph, n_replicas)
         gen = make_rng(rng)
         degrees = degree_vector(graph)
-        nodes = list(graph.nx.nodes())
+        nodes = list(degrees)  # node order, without a second view walk
         order = gen.permutation(len(nodes))
         ranked = [nodes[i] for i in order]
         ranked.sort(key=lambda a: -degrees[a])

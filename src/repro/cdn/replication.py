@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..ids import SegmentId
 from ..obs import Registry, get_registry
 from ..sim.engine import SimulationEngine
 from .allocation import AllocationServer
@@ -113,12 +114,21 @@ class ReplicationPolicy:
         )
 
     def audit(self, *, at: float = 0.0) -> RedundancyReport:
-        """Run one audit: repair under-replication (and hot scaling), report."""
+        """Run one audit: repair under-replication (and hot scaling), report.
+
+        One redundancy scan feeds both the repair queue and the report; a
+        second scan runs only when the audit created replicas or scaled
+        budgets, i.e. when the state it measured has changed.
+        """
         with self._m_audit_latency.time():
-            repaired = len(self.server.repair(at=at))
+            redundancy = self.server.segment_redundancy()
+            repaired = len(self.server.repair(at=at, redundancy=redundancy))
             if self.hot_threshold is not None:
                 repaired += len(self.server.scale_hot(self.hot_threshold, at=at))
-            report = self.snapshot(at=at, repaired=repaired)
+            if repaired or self.hot_threshold is not None:
+                # new replicas or raised budgets: measure the new state
+                redundancy = self.server.segment_redundancy()
+            report = self._report(redundancy, at=at, repaired=repaired)
         self.reports.append(report)
         self._m_audits.inc()
         self._m_repaired.inc(repaired)
@@ -136,26 +146,26 @@ class ReplicationPolicy:
         return report
 
     def snapshot(self, *, at: float = 0.0, repaired: int = 0) -> RedundancyReport:
-        """Measure redundancy health without repairing anything."""
-        catalog = self.server.catalog
-        redundancies: List[int] = []
-        under = self.server.under_replicated()
-        for ds in catalog.datasets():
-            for seg in ds.segments:
-                live = [
-                    r
-                    for r in catalog.replicas_of_segment(seg.segment_id, servable_only=True)
-                    if self.server.is_online(r.node_id)
-                ]
-                redundancies.append(len(live))
-        arr = np.asarray(redundancies, dtype=np.int64) if redundancies else np.zeros(0, np.int64)
+        """Measure redundancy health without repairing anything.
+
+        One scan (:meth:`~repro.cdn.allocation.AllocationServer.segment_redundancy`)
+        yields both the live-replica statistics and the under-budget count.
+        """
+        return self._report(self.server.segment_redundancy(), at=at, repaired=repaired)
+
+    @staticmethod
+    def _report(
+        rows: List[Tuple[SegmentId, int, int]], *, at: float, repaired: int
+    ) -> RedundancyReport:
+        lives = [live for _, live, _ in rows]
         return RedundancyReport(
             time=at,
-            n_segments=len(redundancies),
-            mean_redundancy=float(arr.mean()) if arr.size else 0.0,
-            min_redundancy=int(arr.min()) if arr.size else 0,
-            under_replicated=len(under),
-            lost=int((arr == 0).sum()) if arr.size else 0,
+            n_segments=len(lives),
+            # integer sum then one division: the value numpy's mean gives
+            mean_redundancy=sum(lives) / len(lives) if lives else 0.0,
+            min_redundancy=min(lives, default=0),
+            under_replicated=sum(1 for _, live, budget in rows if live < budget),
+            lost=lives.count(0),
             repaired=repaired,
         )
 

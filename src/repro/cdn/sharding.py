@@ -52,7 +52,13 @@ from ..ids import AuthorId, DatasetId, NodeId, ReplicaId, SegmentId
 from ..obs import Registry
 from ..rng import SeedLike
 from ..social.graph import CoauthorshipGraph
-from .allocation import AllocationFabric, AllocationServer, ResolvedReplica
+from .allocation import (
+    AllocationFabric,
+    AllocationServer,
+    ControlScan,
+    ResolvedReplica,
+    under_budget,
+)
 from .catalog import ReplicaCatalog, ReplicaIdAllocator
 from .content import Dataset, DataSegment, Replica, ReplicaState
 from .demand import DemandTracker
@@ -220,6 +226,10 @@ class FederatedCatalog:
         return self.shard_of_segment(segment_id).replicas_of_segment(
             segment_id, servable_only=servable_only
         )
+
+    def servable_hosts(self, segment_id: SegmentId) -> Tuple[NodeId, ...]:
+        """Servable-host index of one segment, from its owning shard."""
+        return self.shard_of_segment(segment_id).servable_hosts(segment_id)
 
     def replicas_of_dataset(
         self, dataset_id: DatasetId, *, servable_only: bool = False
@@ -574,6 +584,10 @@ class ShardedAllocationRouter:
     def is_online(self, node: NodeId) -> bool:
         """Whether a registered node is currently online."""
         return self._home.is_online(node)
+
+    def control_scan(self) -> ControlScan:
+        """A fresh liveness memo for one pass, shared by every shard."""
+        return self._home.control_scan()
 
     def state_transitions(self, node: NodeId) -> List[Tuple[float, str]]:
         """The recorded state transitions of a node."""
@@ -930,26 +944,49 @@ class ShardedAllocationRouter:
     # ------------------------------------------------------------------
     # management: repair, demand, migration — federation-wide
     # ------------------------------------------------------------------
-    def under_replicated(self) -> List[Tuple[SegmentId, int]]:
+    def segment_redundancy(
+        self, scan: Optional[ControlScan] = None
+    ) -> List[Tuple[SegmentId, int, int]]:
+        """``(segment, live, budget)`` for every segment, shard by shard,
+        with one liveness memo across the federation."""
+        if scan is None:
+            scan = self.control_scan()
+        out: List[Tuple[SegmentId, int, int]] = []
+        for shard in self.shards:
+            out.extend(shard.segment_redundancy(scan))
+        return out
+
+    def under_replicated(
+        self, scan: Optional[ControlScan] = None
+    ) -> List[Tuple[SegmentId, int]]:
         """Under-budget segments across every shard, most-degraded first.
 
         The merge re-applies the single server's ``(live, segment_id)``
         sort, so the federation repairs in the same global order — and
         with the same RNG draw sequence — as one server would.
         """
+        if scan is None:
+            scan = self.control_scan()
         out: List[Tuple[SegmentId, int]] = []
         for shard in self.shards:
-            out.extend(shard.under_replicated())
+            out.extend(shard.under_replicated(scan))
         out.sort(key=lambda t: (t[1], t[0]))
         return out
 
-    def eligible_migration_targets(self, segment_id: SegmentId) -> List[AuthorId]:
+    def eligible_migration_targets(
+        self, segment_id: SegmentId, scan: Optional[ControlScan] = None
+    ) -> List[AuthorId]:
         """Eligible new hosts for a segment, per its owning shard."""
         return self._shard_of_segment(segment_id).eligible_migration_targets(
-            segment_id
+            segment_id, scan
         )
 
-    def repair(self, *, at: float = 0.0) -> List[Replica]:
+    def repair(
+        self,
+        *,
+        at: float = 0.0,
+        redundancy: Optional[List[Tuple[SegmentId, int, int]]] = None,
+    ) -> List[Replica]:
         """Re-replicate every under-replicated segment, federation-wide.
 
         Walks the globally sorted queue and dispatches each segment to
@@ -963,16 +1000,24 @@ class ShardedAllocationRouter:
         cannot reach queue a repair hint for :meth:`reconcile_after_heal`
         (deduplicated per segment), and repairs that do run are confined
         to the owning coordinator's side of the partition.
+
+        ``redundancy`` is a held :meth:`segment_redundancy` result, as on
+        the single server.
         """
         net = self.fabric.reachability
         partitioned = net is not None and getattr(net, "partitioned", False)
         home_origin = self._site_origin(0) if partitioned else None
+        scan = self.control_scan()
+        if redundancy is None:
+            queue = self.under_replicated(scan)
+        else:
+            queue = under_budget(redundancy)
         created: List[Replica] = []
-        for segment_id, live in self.under_replicated():
+        for segment_id, live in queue:
             site = self._site_of_segment(segment_id)
             shard = self.shards[site]
             if not partitioned:
-                created.extend(shard._repair_segment(segment_id, live, at=at))
+                created.extend(shard._repair_segment(segment_id, live, scan, at=at))
                 continue
             coordinator = self._site_origin(site)
             if (
@@ -986,7 +1031,7 @@ class ShardedAllocationRouter:
                 continue
             created.extend(
                 shard._repair_segment(
-                    segment_id, live, at=at, origin=coordinator
+                    segment_id, live, scan, at=at, origin=coordinator
                 )
             )
         self._home._m_repairs.inc(len(created))

@@ -93,11 +93,8 @@ class TraceRing:
 
     def events(self, kind: Optional[str] = None) -> List[TraceEvent]:
         """Retained events, oldest first; optionally filtered by ``kind``."""
-        ordered = [
-            ev
-            for i in range(self._capacity)
-            if (ev := self._buf[(self._next + i) % self._capacity]) is not None
-        ]
+        buf, start = self._buf, self._next
+        ordered = [ev for ev in buf[start:] + buf[:start] if ev is not None]
         if kind is not None:
             ordered = [ev for ev in ordered if ev.kind == kind]
         return ordered

@@ -376,19 +376,30 @@ class DBLPStyleCorpusGenerator:
         if n_consortium:
             blocks = self._consortium_blocks()
             block = blocks[self._group_of[lead] % len(blocks)] if blocks else []
+            # Unpicked members of each pool, in pool order: always equal to
+            # the pool filtered by ``picked``, which the draws index into
+            # (and so fix the corpus). A pick is deleted from both lists to
+            # keep that true without re-filtering the consortium per draw.
+            rest_all = list(self._consortium)
+            rest_block = list(block)
             picked: Set[AuthorId] = set()
             for _ in range(n_consortium):
-                pool = (
-                    self._consortium
+                candidates = (
+                    rest_all
                     if (not block or rng.random() < cfg.p_block_escape)
-                    else block
+                    else rest_block
                 )
-                candidates = [c for c in pool if c not in picked]
                 if not candidates:
-                    candidates = [c for c in self._consortium if c not in picked]
+                    candidates = rest_all
                     if not candidates:
                         break
-                picked.add(candidates[int(rng.integers(len(candidates)))])
+                i = int(rng.integers(len(candidates)))
+                pick = candidates.pop(i)
+                if candidates is rest_block:
+                    rest_all.remove(pick)  # the block is a slice of the consortium
+                elif pick in rest_block:
+                    rest_block.remove(pick)
+                picked.add(pick)
             authors |= picked
         # Group pools can run dry (small groups); top up from the consortium
         # so the requested author count is honored whenever possible.

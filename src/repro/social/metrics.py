@@ -21,7 +21,7 @@ import numpy as np
 from ..errors import GraphError
 from ..ids import AuthorId
 from ..rng import SeedLike, make_rng
-from .graph import CoauthorshipGraph
+from .graph import CoauthorshipGraph, _OrderedNodeFilter
 
 #: Above this node count, dense-matrix tricks stop being worth the memory.
 _DENSE_LIMIT = 4000
@@ -34,11 +34,74 @@ _DENSE_LIMIT = 4000
 _CLUSTERING_CACHE: "WeakKeyDictionary[nx.Graph, Dict[AuthorId, float]]" = WeakKeyDictionary()
 _PAGERANK_CACHE: "WeakKeyDictionary[nx.Graph, Dict[tuple, Dict[AuthorId, float]]]" = WeakKeyDictionary()
 _BETWEENNESS_CACHE: "WeakKeyDictionary[nx.Graph, Dict[tuple, Dict[AuthorId, float]]]" = WeakKeyDictionary()
+# Edge arrays of a base graph for induced-view degrees: ``(index, rows,
+# cols)`` with both directions of every edge, or None when the graph has
+# self-loops (their degree convention is left to networkx).
+_CSR_CACHE: "WeakKeyDictionary[nx.Graph, Optional[tuple]]" = WeakKeyDictionary()
+
+
+def _base_edges(base: nx.Graph) -> Optional[tuple]:
+    """Cached ``(node -> index, rows, cols)`` edge arrays of ``base``.
+
+    Graphs are immutable once built here (as for the other caches in this
+    module); a base whose node count moved anyway is re-indexed.
+    """
+    entry = _CSR_CACHE.get(base, False)
+    if entry is not False and (entry is None or len(entry[0]) == len(base)):
+        return entry
+    entry = None
+    if nx.number_of_selfloops(base) == 0:
+        graph = CoauthorshipGraph(base)
+        indptr, cols = graph.csr_adjacency()
+        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        entry = (graph.node_index(), rows, cols)
+    _CSR_CACHE[base] = entry
+    return entry
+
+
+def _view_degrees(g: nx.Graph) -> Optional[Dict[AuthorId, int]]:
+    """Degrees of an ordered induced view of a plain, loop-free graph, from
+    the base graph's edge arrays; None for any other graph."""
+    base = getattr(g, "_graph", None)
+    if (
+        type(base) is not nx.Graph
+        or hasattr(base, "_NODE_OK")  # a view of a view
+        or not isinstance(getattr(g, "_NODE_OK", None), _OrderedNodeFilter)
+        or getattr(g, "_EDGE_OK", None) is not nx.filters.no_filter
+    ):
+        return None
+    edges = _base_edges(base)
+    if edges is None:
+        return None
+    index, rows, cols = edges
+    # the filter holds the view's nodes in base order: the view's own order
+    nodes = list(g._NODE_OK.nodes)
+    try:
+        ids = np.fromiter(map(index.__getitem__, nodes), dtype=np.int64, count=len(nodes))
+    except KeyError:  # a filtered node left the base graph
+        return None
+    member = np.zeros(len(index), dtype=bool)
+    member[ids] = True
+    inside = member[rows] & member[cols]
+    degrees = np.bincount(rows[inside], minlength=len(index))
+    return dict(zip(nodes, degrees[ids].tolist()))
 
 
 def degree_vector(graph: CoauthorshipGraph) -> Dict[AuthorId, int]:
-    """Degree (number of distinct coauthors) of every node."""
-    return {a: int(d) for a, d in graph.nx.degree()}
+    """Degree (number of distinct coauthors) of every node, in node order.
+
+    On an induced view of a plain graph (the throwaway host subgraphs that
+    placement and repair rank over, see
+    :func:`~repro.social.graph.ordered_induced_view`), degrees come from
+    the base graph's edge arrays — cached per base graph — with a numpy
+    membership mask and ``bincount``, instead of a filtered-adjacency walk
+    per node. Any other graph — a plain graph, a view of a view, or a
+    base with self-loops — uses networkx; both give identical results.
+    """
+    degrees = _view_degrees(graph.nx)
+    if degrees is None:
+        degrees = {a: int(d) for a, d in graph.nx.degree()}
+    return degrees
 
 
 def clustering_coefficients(graph: CoauthorshipGraph) -> Dict[AuthorId, float]:

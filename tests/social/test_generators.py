@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -98,3 +100,34 @@ class TestGeneration:
     def test_generate_corpus_wrapper(self):
         corpus, seed = generate_corpus(SMALL, seed=9)
         assert seed in corpus.author_ids
+
+
+def _corpus_digest(corpus, seed_author) -> str:
+    """sha256 over the seed author and every publication, in corpus order."""
+    h = hashlib.sha256(str(seed_author).encode())
+    for p in corpus:
+        authors = ",".join(sorted(p.authors))
+        h.update(f"{p.pub_id}|{p.year}|{p.venue}|{p.title}|{authors}\n".encode())
+    return h.hexdigest()
+
+
+class TestFrozenCorpus:
+    """The default-config corpus is frozen per seed.
+
+    Digests were taken before the consortium candidate pool moved from a
+    per-draw filtered rebuild to ordered remaining-lists; equality proves
+    the rewrite draws the same RNG stream and yields the same corpus.
+    """
+
+    FROZEN = {
+        0: (1823, "7ef929f1e8a0cb809f169c00295571e4bc9ab20e0eb5c81d3039ca5b209ffb98"),
+        7: (2291, "f211c335606190a3bbf016a89a720fda567f142f9bcc18198a1d240d089685ff"),
+        42: (2051, "3fdc5732e0abd0523eaa3c07203f56cf14673d4387cdd8df35758e5ea2d1ddcd"),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FROZEN))
+    def test_digest_matches(self, seed):
+        corpus, seed_author = generate_corpus(seed=seed)
+        n_pubs, digest = self.FROZEN[seed]
+        assert len(corpus) == n_pubs
+        assert _corpus_digest(corpus, seed_author) == digest
