@@ -563,10 +563,21 @@ class AllocationServer:
         degraded path excepted — see :mod:`repro.cdn.sharding`) sees one
         peer population. Pass ``None`` to remove; with no registry the
         resolve path is byte-identical to a peer-unaware server.
+
+        A registry must expose ``candidates(segment_id, ...)``,
+        ``raw_lease_count(segment_id)`` and an integer ``plan_epoch``:
+        the resolve plan cache trusts those epochs to know when a plan
+        may skip the per-lookup ``candidates()`` call.
         """
-        if peers is not None and not callable(getattr(peers, "candidates", None)):
+        if peers is not None and not (
+            callable(getattr(peers, "candidates", None))
+            and callable(getattr(peers, "raw_lease_count", None))
+            and isinstance(getattr(peers, "plan_epoch", None), int)
+        ):
             raise ConfigurationError(
-                "peer registry must expose candidates(segment_id, ...) or be None"
+                "peer registry must expose candidates(segment_id, ...), "
+                "raw_lease_count(segment_id) and an integer plan_epoch, "
+                "or be None"
             )
         self.fabric.peer_registry = peers
         self.fabric.plan_epoch += 1
@@ -1083,9 +1094,8 @@ class AllocationServer:
         only applies to plans built while the segment had **no** raw
         leases (``peer_raw == 0``): such plans skip the per-lookup
         ``candidates()`` call, so a mint anywhere must force a rebuild.
-        Plans built with leases present (``peer_raw > 0``) or against a
-        registry without epochs (``peer_raw == -1``) consult the registry
-        fresh on every lookup and stay valid across lease churn.
+        Plans built with leases present (``peer_raw > 0``) consult the
+        registry fresh on every lookup and stay valid across lease churn.
         """
         if plan.fabric_epoch != self.fabric.plan_epoch:
             return False
@@ -1094,7 +1104,7 @@ class AllocationServer:
         peers = self.fabric.peer_registry
         if peers is None or plan.peer_raw != 0:
             return True
-        return plan.peer_epoch == getattr(peers, "plan_epoch", -1)
+        return plan.peer_epoch == peers.plan_epoch
 
     def _build_plan(self, segment_id: SegmentId, requester: AuthorId) -> CandidatePlan:
         """Compute the structural ranking of ``(segment, requester)``.
@@ -1111,14 +1121,8 @@ class AllocationServer:
             peer_epoch = -1
             peer_raw = -1
         else:
-            peer_epoch = getattr(peers, "plan_epoch", -1)
-            raw_count = getattr(peers, "raw_lease_count", None)
-            if peer_epoch < 0 or raw_count is None:
-                # duck-typed registry without epoch bookkeeping: consult
-                # candidates() on every lookup instead of trusting epochs
-                peer_raw = -1
-            else:
-                peer_raw = raw_count(segment_id)
+            peer_epoch = peers.plan_epoch
+            peer_raw = peers.raw_lease_count(segment_id)
         reps = self.catalog.replicas_of_segment(segment_id, servable_only=True)
         seg_epoch = self.catalog.epoch(segment_id)
         hops = self._hops_from(requester) if reps else {}

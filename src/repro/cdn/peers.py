@@ -215,9 +215,19 @@ class PeerRegistry:
         self.max_concurrent_serves = max_concurrent_serves
 
         #: node -> segment -> lease, insertion-ordered at both levels so
-        #: every iteration (candidate listing, leave, churn victim pools)
-        #: is deterministic without sorting on the hot path
+        #: every iteration (leave, churn victim pools) is deterministic
+        #: without sorting on the hot path
         self._leases: Dict[NodeId, Dict[SegmentId, PeerLease]] = {}
+        #: segment -> node -> lease: the same entries as ``_leases``,
+        #: indexed the other way so discovery and the plan cache's
+        #: raw-lease count touch only one segment's leases
+        self._by_segment: Dict[SegmentId, Dict[NodeId, PeerLease]] = {}
+        #: running count of active leases, and per-node active counts
+        #: (a node is present only while its count is above zero);
+        #: moved at exactly three transitions — mint, expiry to
+        #: draining, and the close of a still-active lease
+        self._n_active = 0
+        self._active_per_node: Dict[NodeId, int] = {}
 
         #: lease-population epoch for the allocation tier's resolve plan
         #: cache: bumped when a lease is minted or closed (expiry, evict,
@@ -341,9 +351,16 @@ class PeerRegistry:
             )
             return existing
         if existing is not None:
-            # a closed/draining husk for the same segment: replace it
+            # a draining husk for the same segment: replace it. The
+            # node's entry in _leases stays put (its position is the
+            # churn victim order); the husk's own close later finds a
+            # different lease stored and leaves the registry alone.
             del per_node[segment.segment_id]
-        if sum(1 for l in per_node.values() if l.active) >= self.cache_segments:
+            per_segment = self._by_segment[segment.segment_id]
+            del per_segment[node]
+            if not per_segment:
+                del self._by_segment[segment.segment_id]
+        if self._active_per_node.get(node, 0) >= self.cache_segments:
             self._m_rejected_capacity.inc()
             self.obs.trace(
                 "peer_reject", ts=now, node=str(node), reason="capacity"
@@ -362,6 +379,9 @@ class PeerRegistry:
             label=f"peer-lease-expiry:{node}:{segment.segment_id}",
         )
         per_node[segment.segment_id] = lease
+        self._by_segment.setdefault(segment.segment_id, {})[node] = lease
+        self._n_active += 1
+        self._active_per_node[node] = self._active_per_node.get(node, 0) + 1
         self.plan_epoch += 1
         self._m_admitted.inc()
         self._sync_gauges()
@@ -393,18 +413,22 @@ class PeerRegistry:
         ``requester_node`` while the network reports a partition, not the
         requester's own node, and not in ``exclude_nodes`` (the resolve
         path passes the repository candidates' nodes so one host is never
-        listed in both tiers). Returned in lease-insertion order; the
-        caller applies the deterministic rank rule.
+        listed in both tiers). Only this segment's leases are visited,
+        in the order they were recorded for the segment; that order
+        carries no meaning — callers rank by a unique key (hops, tier,
+        load, node id), so any listing order yields the same ranking.
         """
+        per_segment = self._by_segment.get(segment_id)
+        if not per_segment:
+            return []
         excluded: Set[NodeId] = set(exclude_nodes)
         net = self.fabric.reachability
         partitioned = net is not None and getattr(net, "partitioned", False)
         out: List[PeerLease] = []
-        for node, per_node in self._leases.items():
+        for node, lease in per_segment.items():
             if node == requester_node or node in excluded:
                 continue
-            lease = per_node.get(segment_id)
-            if lease is None or not lease.active:
+            if not lease.active:
                 continue
             if lease.in_flight >= self.max_concurrent_serves:
                 continue
@@ -428,9 +452,7 @@ class PeerRegistry:
         husk) forces the plan to consult fresh, because activity and
         serve caps change without epoch bumps.
         """
-        return sum(
-            1 for per_node in self._leases.values() if segment_id in per_node
-        )
+        return len(self._by_segment.get(segment_id, ()))
 
     # ------------------------------------------------------------------
     # serving
@@ -506,6 +528,7 @@ class PeerRegistry:
             return
         if lease.in_flight > 0:
             lease.state = _DRAINING
+            self._deactivate(lease)
             self._sync_gauges()
             return
         self._finalize_expiry(lease)
@@ -524,21 +547,46 @@ class PeerRegistry:
     def _close(self, lease: PeerLease, *, reason: str) -> None:
         """Remove a lease from the registry and cancel its pending expiry
         event — abrupt ends (crash, eviction, leave) must not leave a
-        phantom lease-end event in the engine queue."""
+        phantom lease-end event in the engine queue. A draining husk
+        already replaced by a fresh lease for the same segment removes
+        nothing: only the stored entry that *is* this lease goes."""
         if lease.state == _CLOSED:
             return
+        if lease.active:
+            self._deactivate(lease)
         lease.state = _CLOSED
         lease.close_reason = reason
         if lease.expiry_event is not None:
             self.engine.cancel(lease.expiry_event)
             lease.expiry_event = None
-        per_node = self._leases.get(lease.node_id)
-        if per_node is not None:
-            per_node.pop(lease.segment_id, None)
-            if not per_node:
-                del self._leases[lease.node_id]
+        self._unindex(lease)
         self.plan_epoch += 1
         self._sync_gauges()
+
+    def _deactivate(self, lease: PeerLease) -> None:
+        """Take an active lease out of the running active counts."""
+        self._n_active -= 1
+        node = lease.node_id
+        left = self._active_per_node[node] - 1
+        if left:
+            self._active_per_node[node] = left
+        else:
+            del self._active_per_node[node]
+
+    def _unindex(self, lease: PeerLease) -> None:
+        """Drop ``lease`` from both maps if it is the entry stored there."""
+        node = lease.node_id
+        segment_id = lease.segment_id
+        per_node = self._leases.get(node)
+        if per_node is None or per_node.get(segment_id) is not lease:
+            return
+        del per_node[segment_id]
+        if not per_node:
+            del self._leases[node]
+        per_segment = self._by_segment[segment_id]
+        del per_segment[node]
+        if not per_segment:
+            del self._by_segment[segment_id]
 
     def evict(
         self, node: NodeId, segment_id: SegmentId, *, reason: str = "cache-evict"
@@ -670,13 +718,8 @@ class PeerRegistry:
     @property
     def n_active_leases(self) -> int:
         """Count of active leases across all nodes."""
-        return sum(
-            1
-            for per_node in self._leases.values()
-            for lease in per_node.values()
-            if lease.active
-        )
+        return self._n_active
 
     def _sync_gauges(self) -> None:
-        self._g_leases.set(self.n_active_leases)
-        self._g_nodes.set(len(self.peer_nodes()))
+        self._g_leases.set(self._n_active)
+        self._g_nodes.set(len(self._active_per_node))

@@ -187,6 +187,37 @@ class TestLeaseLifecycle:
         assert counter(net, "peer.serves") == 1
         assert net.peers.lease_of(NodeId("c-3"), seg) is None
 
+    def test_reoffer_over_draining_husk_survives_husk_close(self):
+        net = build_net(peer_lease_ttl_s=10.0)
+        seg = seg_ids(net)[0]
+        node = NodeId("c-3")
+        net.clients[AuthorId("c-3")].access_segment(seg)
+        old = net.peers.lease_of(node, seg)
+        serve = net.peers.begin_serve(node, seg)
+        assert serve is not None
+        net.engine.run(until=11.0)  # TTL fires while pinned: old drains
+        assert not old.active
+        fresh = net.peers.offer(node, net.server.catalog.segment(seg))
+        assert fresh is not None and fresh is not old
+        # the husk's last serve ends: its close must leave the fresh
+        # lease that replaced it in the registry
+        net.peers.end_serve(serve, ok=True)
+        assert counter(net, "peer.lease.expired") == 1
+        assert net.peers.lease_of(node, seg) is fresh
+        assert fresh.active and fresh.expiry_event is not None
+        assert net.peers.has_active_lease(node, seg)
+        assert net.peers.candidates(seg, requester_node=NodeId("c-2")) == [fresh]
+        assert net.peers.raw_lease_count(seg) == 1
+        assert net.peers.n_active_leases == 1
+        gauges = net.obs.snapshot()["gauges"]
+        assert gauges["peer.active_leases"]["value"] == 1
+        assert gauges["peer.active_nodes"]["value"] == 1
+        # and the fresh lease still expires on its own schedule
+        net.engine.run(until=22.0)
+        assert net.peers.lease_of(node, seg) is None
+        assert counter(net, "peer.lease.expired") == 2
+        assert net.peers.n_active_leases == 0
+
     def test_expiry_without_pin_closes_immediately(self):
         net = build_net(peer_lease_ttl_s=10.0)
         seg = seg_ids(net)[0]
@@ -298,3 +329,26 @@ class TestRegistryValidation:
     def test_enable_peer_tier_idempotent(self):
         net = build_net()
         assert net.enable_peer_tier() is net.peers
+
+    def test_registry_without_plan_epochs_rejected(self):
+        net = build_net()
+
+        class NoEpochs:
+            def candidates(self, segment_id, **kwargs):
+                return []
+
+        class NoRawCount(NoEpochs):
+            plan_epoch = 0
+
+        class NoCandidates:
+            plan_epoch = 0
+
+            def raw_lease_count(self, segment_id):
+                return 0
+
+        for fake in (NoEpochs(), NoRawCount(), NoCandidates()):
+            with pytest.raises(ConfigurationError):
+                net.server.set_peer_registry(fake)
+        assert net.server.fabric.peer_registry is net.peers
+        net.server.set_peer_registry(None)
+        assert net.server.fabric.peer_registry is None
