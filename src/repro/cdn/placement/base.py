@@ -59,23 +59,31 @@ class PlacementAlgorithm(ABC):
         return f"{type(self).__name__}()"
 
 
+def top_by_score(scores: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of the ``n`` highest ``scores``, equal scores in random order.
+
+    The shared selection rule of all scoring placements, as one kernel:
+    draw a permutation of the nodes, then stable-sort it by descending
+    score, so equal scores keep their permuted order and repeated runs
+    explore the tie set. ``-0.0`` and ``0.0`` tie, as in a Python sort.
+    """
+    order = rng.permutation(len(scores))
+    return order[np.argsort(-scores[order], kind="stable")[:n]]
+
+
 def ranked_by_score(
     graph: CoauthorshipGraph,
     scores: Mapping[AuthorId, float],
     n: int,
     rng: np.random.Generator,
 ) -> List[AuthorId]:
-    """Top-``n`` nodes by score with random tie-breaking.
-
-    Implements the shared selection rule of all scoring placements: sort by
-    descending score; permute nodes first so equal scores are resolved
-    randomly per run.
-    """
+    """Top-``n`` nodes by score with random tie-breaking (see
+    :func:`top_by_score`); nodes missing from ``scores`` score 0.0."""
     nodes = list(graph.nx.nodes())
-    order = rng.permutation(len(nodes))
-    shuffled = [nodes[i] for i in order]
-    shuffled.sort(key=lambda a: -scores.get(a, 0.0))
-    return shuffled[: min(n, len(shuffled))]
+    values = np.fromiter(
+        (scores.get(a, 0.0) for a in nodes), dtype=np.float64, count=len(nodes)
+    )
+    return [nodes[i] for i in top_by_score(values, n, rng).tolist()]
 
 
 _REGISTRY: Dict[str, Callable[[], PlacementAlgorithm]] = {}

@@ -14,8 +14,8 @@ from typing import List
 from ...ids import AuthorId
 from ...rng import SeedLike, make_rng
 from ...social.graph import CoauthorshipGraph
-from ...social.metrics import clustering_coefficients
-from .base import PlacementAlgorithm, ranked_by_score, register_placement
+from ...social.metrics import graph_arrays
+from .base import PlacementAlgorithm, register_placement, top_by_score
 
 
 class ClusteringCoefficientPlacement(PlacementAlgorithm):
@@ -32,8 +32,9 @@ class ClusteringCoefficientPlacement(PlacementAlgorithm):
     ) -> List[AuthorId]:
         self._validate(graph, n_replicas)
         gen = make_rng(rng)
-        scores = clustering_coefficients(graph)
-        return ranked_by_score(graph, scores, n_replicas, gen)
+        arrays = graph_arrays(graph)
+        top = top_by_score(arrays.clustering(), n_replicas, gen)
+        return [arrays.nodes[i] for i in top.tolist()]
 
 
 register_placement("clustering-coefficient", ClusteringCoefficientPlacement)

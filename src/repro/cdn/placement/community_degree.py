@@ -20,8 +20,8 @@ from ...errors import ConfigurationError
 from ...ids import AuthorId
 from ...rng import SeedLike, make_rng
 from ...social.graph import CoauthorshipGraph
-from ...social.metrics import degree_vector
-from .base import PlacementAlgorithm, register_placement
+from ...social.metrics import degree_array
+from .base import PlacementAlgorithm, register_placement, top_by_score
 
 
 class CommunityNodeDegreePlacement(PlacementAlgorithm):
@@ -62,11 +62,8 @@ class CommunityNodeDegreePlacement(PlacementAlgorithm):
     ) -> List[AuthorId]:
         self._validate(graph, n_replicas)
         gen = make_rng(rng)
-        degrees = degree_vector(graph)
-        nodes = list(degrees)  # node order, without a second view walk
-        order = gen.permutation(len(nodes))
-        ranked = [nodes[i] for i in order]
-        ranked.sort(key=lambda a: -degrees[a])
+        nodes, degrees = degree_array(graph)
+        ranked = [nodes[i] for i in top_by_score(degrees, len(nodes), gen).tolist()]
 
         chosen: List[AuthorId] = []
         excluded: Set[AuthorId] = set()

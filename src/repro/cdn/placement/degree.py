@@ -14,8 +14,8 @@ from typing import List
 from ...ids import AuthorId
 from ...rng import SeedLike, make_rng
 from ...social.graph import CoauthorshipGraph
-from ...social.metrics import degree_vector
-from .base import PlacementAlgorithm, ranked_by_score, register_placement
+from ...social.metrics import degree_array
+from .base import PlacementAlgorithm, register_placement, top_by_score
 
 
 class NodeDegreePlacement(PlacementAlgorithm):
@@ -32,8 +32,8 @@ class NodeDegreePlacement(PlacementAlgorithm):
     ) -> List[AuthorId]:
         self._validate(graph, n_replicas)
         gen = make_rng(rng)
-        scores = {a: float(d) for a, d in degree_vector(graph).items()}
-        return ranked_by_score(graph, scores, n_replicas, gen)
+        nodes, degrees = degree_array(graph)
+        return [nodes[i] for i in top_by_score(degrees, n_replicas, gen).tolist()]
 
 
 register_placement("node-degree", NodeDegreePlacement)

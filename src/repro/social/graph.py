@@ -9,6 +9,7 @@ needs, while exposing the raw graph for algorithms that want it.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 from weakref import WeakKeyDictionary
 
@@ -265,16 +266,15 @@ class CoauthorshipGraph:
         n = self.n_nodes
         m = self.n_edges
         idx = self.node_index()
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        k = 0
-        for a, b in self._g.edges():
-            i, j = idx[a], idx[b]
-            rows[k] = i
-            cols[k] = j
-            rows[k + 1] = j
-            cols[k + 1] = i
-            k += 2
+        # endpoints of every edge, flattened: u0, v0, u1, v1, ...
+        ends = np.fromiter(
+            map(idx.__getitem__, chain.from_iterable(self._g.edges())),
+            dtype=np.int64,
+            count=2 * m,
+        )
+        src, dst = ends[0::2], ends[1::2]
+        rows = np.concatenate((src, dst))
+        cols = np.concatenate((dst, src))
         order = np.lexsort((cols, rows))
         indices = cols[order]
         counts = np.bincount(rows, minlength=n)

@@ -2,17 +2,18 @@
 
 The paper's Section V-D names centrality, clustering coefficient and node
 betweenness as candidate replica-placement signals; Section VI uses node
-degree and clustering coefficient. This module computes them with numpy
-vectorization where it pays (triangle counting via the dense adjacency
-matrix for case-study-sized graphs) and falls back to networkx elsewhere —
-per the optimization guide, the simple correct path first, the fast path
-where profiling shows it matters.
+degree and clustering coefficient. Degree and clustering are computed from
+one per-graph bundle of numpy arrays (:class:`GraphArrays`: node order,
+index, CSR adjacency, degrees and, lazily, clustering coefficients), built
+once per graph object and shared by placement and hit-rate evaluation.
+Triangles are counted with a sparse integer product ``(A @ A) * A``, so
+memory stays O(V + E + wedges) instead of the O(V^2) of a dense matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import networkx as nx
@@ -23,45 +24,109 @@ from ..ids import AuthorId
 from ..rng import SeedLike, make_rng
 from .graph import CoauthorshipGraph, _OrderedNodeFilter
 
-#: Above this node count, dense-matrix tricks stop being worth the memory.
-_DENSE_LIMIT = 4000
-
 # Caches keyed (weakly) by the underlying nx.Graph object. Graphs are
 # treated as immutable once built (every transformation in this library
 # returns a new graph), so cached scores stay valid; the 100-run sweeps of
 # the case study then pay for each metric once per subgraph instead of
 # once per run.
-_CLUSTERING_CACHE: "WeakKeyDictionary[nx.Graph, Dict[AuthorId, float]]" = WeakKeyDictionary()
 _PAGERANK_CACHE: "WeakKeyDictionary[nx.Graph, Dict[tuple, Dict[AuthorId, float]]]" = WeakKeyDictionary()
 _BETWEENNESS_CACHE: "WeakKeyDictionary[nx.Graph, Dict[tuple, Dict[AuthorId, float]]]" = WeakKeyDictionary()
-# Edge arrays of a base graph for induced-view degrees: ``(index, rows,
-# cols)`` with both directions of every edge, or None when the graph has
-# self-loops (their degree convention is left to networkx).
-_CSR_CACHE: "WeakKeyDictionary[nx.Graph, Optional[tuple]]" = WeakKeyDictionary()
 
 
-def _base_edges(base: nx.Graph) -> Optional[tuple]:
-    """Cached ``(node -> index, rows, cols)`` edge arrays of ``base``.
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@dataclass(eq=False)
+class GraphArrays:
+    """Immutable numpy view of one graph, built once per graph object.
+
+    ``nodes`` is the graph's node order and ``index`` its inverse; row
+    ``i`` of the CSR adjacency, ``indices[indptr[i]:indptr[i + 1]]``,
+    lists node ``i``'s neighbors ascending (a self-loop appears twice,
+    as :meth:`~repro.social.graph.CoauthorshipGraph.csr_adjacency`
+    emits it). ``rows`` is the row of every CSR entry and ``degrees``
+    networkx's degree (a self-loop counts twice). Every array is
+    read-only, and ``index`` must be treated so: the bundle is shared by
+    every caller of the same graph.
+    """
+
+    nodes: Tuple[AuthorId, ...]
+    index: Dict[AuthorId, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    rows: np.ndarray
+    degrees: np.ndarray
+    _clustering: Optional[np.ndarray] = field(default=None, init=False, repr=False)
+
+    @classmethod
+    def build(cls, graph: CoauthorshipGraph) -> "GraphArrays":
+        """A fresh bundle of ``graph`` (:func:`graph_arrays` caches one)."""
+        indptr, indices = graph.csr_adjacency()
+        degrees = np.diff(indptr)
+        rows = np.repeat(np.arange(len(degrees)), degrees)
+        return cls(
+            nodes=tuple(graph.nodes()),
+            index=graph.node_index(),
+            indptr=_frozen(indptr),
+            indices=_frozen(indices),
+            rows=_frozen(rows),
+            degrees=_frozen(degrees),
+        )
+
+    def clustering(self) -> np.ndarray:
+        """Local clustering coefficient of every node, computed once.
+
+        Triangles through node ``i`` are ``((A @ A) * A)[i].sum() / 2``
+        over the loop-free adjacency ``A`` in integers; the coefficient
+        divides twice that count by ``d * (d - 1)``, where ``d`` excludes
+        self-loops — networkx's convention, and the same IEEE double
+        ``networkx.clustering`` returns. Nodes in no triangle score 0.0.
+        """
+        if self._clustering is None:
+            # imported on first use: campaigns never count triangles, and
+            # importing scipy.sparse costs them ~7 MB of peak RSS
+            from scipy import sparse
+
+            n = len(self.nodes)
+            off = self.rows != self.indices  # drop self-loops
+            cols = self.indices[off]
+            deg = np.bincount(self.rows[off], minlength=n)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(deg, out=indptr[1:])
+            a = sparse.csr_array(
+                (np.ones(cols.size, dtype=np.int64), cols, indptr), shape=(n, n)
+            )
+            twice_triangles = np.asarray((a @ a).multiply(a).sum(axis=1)).ravel()
+            coeff = np.zeros(n, dtype=np.float64)
+            closed = twice_triangles > 0
+            coeff[closed] = twice_triangles[closed] / (deg * (deg - 1))[closed]
+            self._clustering = _frozen(coeff)
+        return self._clustering
+
+
+# One bundle per graph object (weak key: a discarded graph releases it).
+_ARRAYS_CACHE: "WeakKeyDictionary[nx.Graph, GraphArrays]" = WeakKeyDictionary()
+
+
+def graph_arrays(graph: CoauthorshipGraph) -> GraphArrays:
+    """The cached :class:`GraphArrays` of ``graph``.
 
     Graphs are immutable once built here (as for the other caches in this
-    module); a base whose node count moved anyway is re-indexed.
+    module); a graph whose node count moved anyway is re-indexed.
     """
-    entry = _CSR_CACHE.get(base, False)
-    if entry is not False and (entry is None or len(entry[0]) == len(base)):
-        return entry
-    entry = None
-    if nx.number_of_selfloops(base) == 0:
-        graph = CoauthorshipGraph(base)
-        indptr, cols = graph.csr_adjacency()
-        rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-        entry = (graph.node_index(), rows, cols)
-    _CSR_CACHE[base] = entry
+    g = graph.nx
+    entry = _ARRAYS_CACHE.get(g)
+    if entry is None or len(entry.nodes) != len(g):
+        entry = GraphArrays.build(graph)
+        _ARRAYS_CACHE[g] = entry
     return entry
 
 
-def _view_degrees(g: nx.Graph) -> Optional[Dict[AuthorId, int]]:
-    """Degrees of an ordered induced view of a plain, loop-free graph, from
-    the base graph's edge arrays; None for any other graph."""
+def _view_degrees(g: nx.Graph) -> Optional[Tuple[List[AuthorId], np.ndarray]]:
+    """Degrees of an ordered induced view of a plain graph, from the base
+    graph's edge arrays; None for any other graph."""
     base = getattr(g, "_graph", None)
     if (
         type(base) is not nx.Graph
@@ -70,72 +135,64 @@ def _view_degrees(g: nx.Graph) -> Optional[Dict[AuthorId, int]]:
         or getattr(g, "_EDGE_OK", None) is not nx.filters.no_filter
     ):
         return None
-    edges = _base_edges(base)
-    if edges is None:
-        return None
-    index, rows, cols = edges
+    arrays = graph_arrays(CoauthorshipGraph(base))
     # the filter holds the view's nodes in base order: the view's own order
     nodes = list(g._NODE_OK.nodes)
     try:
-        ids = np.fromiter(map(index.__getitem__, nodes), dtype=np.int64, count=len(nodes))
+        ids = np.fromiter(map(arrays.index.__getitem__, nodes), dtype=np.int64, count=len(nodes))
     except KeyError:  # a filtered node left the base graph
         return None
-    member = np.zeros(len(index), dtype=bool)
+    member = np.zeros(len(arrays.nodes), dtype=bool)
     member[ids] = True
+    rows, cols = arrays.rows, arrays.indices
     inside = member[rows] & member[cols]
-    degrees = np.bincount(rows[inside], minlength=len(index))
-    return dict(zip(nodes, degrees[ids].tolist()))
+    degrees = np.bincount(rows[inside], minlength=len(member))
+    return nodes, degrees[ids]
+
+
+def degree_array(graph: CoauthorshipGraph) -> Tuple[Sequence[AuthorId], np.ndarray]:
+    """Node order and the int64 degree of every node, in that order.
+
+    A plain graph reads its :class:`GraphArrays` bundle (treat the array
+    as read-only). An induced view of a plain graph (the throwaway host
+    subgraphs that placement and repair rank over, see
+    :func:`~repro.social.graph.ordered_induced_view`) counts degrees from
+    the base graph's bundle with a numpy membership mask and
+    ``bincount``, instead of a filtered-adjacency walk per node. Any other
+    graph — a view of a view, say — uses networkx; all give identical
+    results, a self-loop counting twice.
+    """
+    g = graph.nx
+    if type(g) is nx.Graph and not hasattr(g, "_graph"):  # not a view
+        arrays = graph_arrays(graph)
+        return arrays.nodes, arrays.degrees
+    view = _view_degrees(g)
+    if view is not None:
+        return view
+    pairs = list(g.degree())
+    return [a for a, _ in pairs], np.fromiter((d for _, d in pairs), dtype=np.int64, count=len(pairs))
 
 
 def degree_vector(graph: CoauthorshipGraph) -> Dict[AuthorId, int]:
-    """Degree (number of distinct coauthors) of every node, in node order.
-
-    On an induced view of a plain graph (the throwaway host subgraphs that
-    placement and repair rank over, see
-    :func:`~repro.social.graph.ordered_induced_view`), degrees come from
-    the base graph's edge arrays — cached per base graph — with a numpy
-    membership mask and ``bincount``, instead of a filtered-adjacency walk
-    per node. Any other graph — a plain graph, a view of a view, or a
-    base with self-loops — uses networkx; both give identical results.
-    """
-    degrees = _view_degrees(graph.nx)
-    if degrees is None:
-        degrees = {a: int(d) for a, d in graph.nx.degree()}
-    return degrees
+    """Degree (number of distinct coauthors) of every node, in node order
+    (see :func:`degree_array`)."""
+    nodes, degrees = degree_array(graph)
+    return dict(zip(nodes, degrees.tolist()))
 
 
 def clustering_coefficients(graph: CoauthorshipGraph) -> Dict[AuthorId, float]:
     """Local clustering coefficient of every node.
 
-    For graphs up to ``_DENSE_LIMIT`` nodes this uses the vectorized
-    triangle count ``((A @ A) * A).sum(axis=1) / 2`` over a dense adjacency
-    matrix (one BLAS matmul); larger graphs fall back to
-    :func:`networkx.clustering`. Results are cached per graph (graphs are
-    immutable by construction in this library); callers get a fresh dict
-    copy each call, so mutating a result never poisons the cache.
-    Isolated and degree-1 nodes have coefficient 0.0.
+    Computed once per graph by :meth:`GraphArrays.clustering` (sparse
+    integer triangle counts, equal to :func:`networkx.clustering`; a
+    self-loop is ignored). Callers get a fresh dict each call, so mutating
+    a result never poisons the cache. Isolated and degree-1 nodes have
+    coefficient 0.0.
     """
-    n = graph.n_nodes
-    if n == 0:
+    if graph.n_nodes == 0:
         return {}
-    cached = _CLUSTERING_CACHE.get(graph.nx)
-    if cached is not None:
-        return dict(cached)
-    if n > _DENSE_LIMIT:
-        result = {a: float(c) for a, c in nx.clustering(graph.nx).items()}
-        _CLUSTERING_CACHE[graph.nx] = result
-        return dict(result)
-    a_mat = graph.adjacency_matrix().astype(np.float64)
-    deg = a_mat.sum(axis=1)
-    # paths of length 2 between i's neighbors that close a triangle
-    triangles = ((a_mat @ a_mat) * a_mat).sum(axis=1) / 2.0
-    possible = deg * (deg - 1) / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        coeff = np.where(possible > 0, triangles / possible, 0.0)
-    nodes = list(graph.nx.nodes())
-    result = {a: float(coeff[i]) for i, a in enumerate(nodes)}
-    _CLUSTERING_CACHE[graph.nx] = result
-    return dict(result)
+    arrays = graph_arrays(graph)
+    return dict(zip(arrays.nodes, arrays.clustering().tolist()))
 
 
 def betweenness(

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
 
 from ..errors import ConfigurationError
 from ..ids import AuthorId
-from .graph import CoauthorshipGraph, ordered_induced_view, shared_coauthorship_graph
+from .graph import CoauthorshipGraph, shared_coauthorship_graph
 from .records import Corpus
 
 
@@ -78,21 +78,44 @@ class TrustedSubgraph:
 
 def _finalize(
     name: str,
-    graph: nx.Graph,
+    base: nx.Graph,
     corpus: Corpus,
     seed: Optional[AuthorId],
+    keep_edge: Optional[Callable[[dict], bool]] = None,
 ) -> TrustedSubgraph:
-    """Drop isolated nodes (keeping the seed), attach surviving publications."""
-    keep = {n for n, d in graph.degree() if d > 0}
-    if seed is not None and seed in graph:
-        keep.add(seed)
-    # ordered view, not nx subgraph(set): the pruned graph's node order
-    # feeds every downstream placement decision and must not vary with
-    # PYTHONHASHSEED (spawn-started pool workers get fresh hash seeds)
-    pruned = ordered_induced_view(graph, keep).copy()
+    """Build the pruned graph from ``base`` in one pass, attach surviving
+    publications.
+
+    An edge survives iff ``keep_edge(data)`` holds (every edge when None);
+    a node survives iff it has a surviving edge, and the seed always does.
+    ``base`` is never mutated. Order contract: nodes in base order; each
+    node's neighbors first those earlier in node order (in node order),
+    then the rest in base adjacency order — the order networkx's ``copy``
+    of an ordered induced view gives; every edge gets a fresh data dict.
+    Nothing depends on set iteration, so the graph — and every placement
+    decision over it — is independent of ``PYTHONHASHSEED``.
+    """
+    edges = []
+    endpoints: Set[AuthorId] = set()
+    pubs: Set[str] = set()
+    done: Set[AuthorId] = set()
+    for u, nbrs in base.adjacency():
+        for v, data in nbrs.items():
+            # each edge once, at its earlier endpoint in node order
+            if v not in done and (keep_edge is None or keep_edge(data)):
+                edges.append((u, v, data))
+                endpoints.add(u)
+                endpoints.add(v)
+                pubs.update(data.get("pubs", ()))
+        done.add(u)
+    if seed is not None and seed in base:
+        endpoints.add(seed)
+    pruned = nx.Graph()
+    pruned.graph.update(base.graph)
+    pruned.add_nodes_from((n, d.copy()) for n, d in base.nodes.items() if n in endpoints)
+    pruned.add_edges_from(edges)
     cg = CoauthorshipGraph(pruned, seed=seed if seed in pruned else None)
-    surviving_pub_ids = cg.publications_on_edges()
-    surviving = Corpus(p for p in corpus if str(p.pub_id) in surviving_pub_ids)
+    surviving = Corpus(p for p in corpus if str(p.pub_id) in pubs)
     return TrustedSubgraph(name=name, graph=cg, corpus=surviving)
 
 
@@ -125,7 +148,8 @@ class TrustHeuristic(ABC):
             :func:`repro.social.graph.shared_coauthorship_graph`, which
             memoizes by corpus identity — so running the paper's three
             heuristics over the same corpus object builds the base graph
-            once either way. The graph is never mutated (pruning copies).
+            once either way. The graph is never mutated (pruning builds a
+            new graph in one pass).
         """
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
@@ -145,7 +169,7 @@ class BaselineTrust(TrustHeuristic):
         graph: Optional[CoauthorshipGraph] = None,
     ) -> TrustedSubgraph:
         g = graph if graph is not None else shared_coauthorship_graph(corpus)
-        return _finalize(self.name, g.nx.copy(), corpus, seed)
+        return _finalize(self.name, g.nx, corpus, seed)
 
 
 class MinCoauthorshipTrust(TrustHeuristic):
@@ -171,10 +195,10 @@ class MinCoauthorshipTrust(TrustHeuristic):
         graph: Optional[CoauthorshipGraph] = None,
     ) -> TrustedSubgraph:
         base = graph if graph is not None else shared_coauthorship_graph(corpus)
-        g = base.nx.copy()
-        weak = [(a, b) for a, b, w in g.edges(data="weight", default=1) if w < self.min_count]
-        g.remove_edges_from(weak)
-        return _finalize(self.name, g, corpus, seed)
+        min_count = self.min_count
+        return _finalize(
+            self.name, base.nx, corpus, seed, lambda d: d.get("weight", 1) >= min_count
+        )
 
 
 class MaxAuthorsTrust(TrustHeuristic):
@@ -207,8 +231,7 @@ class MaxAuthorsTrust(TrustHeuristic):
         # interface uniformity but the build always runs on the filtered
         # corpus (memoized by its identity like any other).
         filtered = corpus.filter_max_authors(self.max_authors)
-        g = shared_coauthorship_graph(filtered).nx.copy()
-        return _finalize(self.name, g, filtered, seed)
+        return _finalize(self.name, shared_coauthorship_graph(filtered).nx, filtered, seed)
 
 
 class CompositeTrust(TrustHeuristic):

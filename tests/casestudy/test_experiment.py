@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,42 @@ class TestTrainWindowVariant:
             run_case_study(corpus, seed_author, heuristics=[], seed=9)
         with pytest.raises(ConfigurationError):
             run_case_study(corpus, seed_author, placements=[], seed=9)
+
+
+def _result_digest(result) -> str:
+    """sha256 over every curve's per-count arrays (exact float reprs) and
+    the Table I rows, in panel and algorithm order."""
+    h = hashlib.sha256()
+    for panel in result.subgraphs:
+        for name, c in sorted(panel.curves.items()):
+            h.update(f"{panel.subgraph.name}|{name}\n".encode())
+            for arr in (c.mean_hit_rate_pct, c.std_hit_rate_pct, c.mean_hops):
+                h.update((",".join(repr(float(x)) for x in arr) + "\n").encode())
+    for row in table1_rows(result):
+        h.update((repr(tuple(row)) + "\n").encode())
+    return h.hexdigest()
+
+
+class TestFrozenResult:
+    """The paper-scale sweep is frozen: the default seed-42 corpus, 3 runs
+    per cell, sweep seed 7.
+
+    The digest was taken before placement scoring, ranking, hit-rate
+    evaluation and trust pruning moved to per-graph numpy arrays; equality
+    proves the rewrite draws the same RNG stream and scores identically.
+    """
+
+    DIGEST = "61bb10933ff5248f9e5c40b50d2ae1bacf076d9077f1ebff4115fce1095808d0"
+    TABLE1 = [
+        ("baseline", 3664, 1701, 48046),
+        ("double-coauthorship", 807, 1571, 4611),
+        ("number-of-authors", 609, 1209, 1837),
+    ]
+
+    def test_digest_matches(self):
+        corpus, seed_author = generate_corpus(seed=42)
+        result = run_case_study(
+            corpus, seed_author, config=CaseStudyConfig(n_runs=3), seed=7
+        )
+        assert table1_rows(result) == self.TABLE1
+        assert _result_digest(result) == self.DIGEST

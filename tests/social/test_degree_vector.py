@@ -1,11 +1,12 @@
-"""Differential tests for the induced-view fast path of ``degree_vector``.
+"""Differential tests for the array paths of ``degree_vector``.
 
-On an :func:`~repro.social.graph.ordered_induced_view` of a plain graph,
-:func:`~repro.social.metrics.degree_vector` counts degrees from cached
-edge arrays of the base graph instead of walking the filtered adjacency.
-Every result must equal networkx's ``dict(view.degree())`` — values and
-key order — and anything that is not such a view (a view of a view, a
-base with self-loops, a plain graph) must take the networkx fallback.
+On a plain graph, :func:`~repro.social.metrics.degree_vector` reads the
+graph's cached :class:`~repro.social.metrics.GraphArrays` bundle; on an
+:func:`~repro.social.graph.ordered_induced_view` of a plain graph it
+counts degrees from the base graph's bundle instead of walking the
+filtered adjacency. Every result must equal networkx's
+``dict(graph.degree())`` — values and key order, a self-loop counting
+twice — and anything else (a view of a view) takes the networkx fallback.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cdn.placement.community_degree import CommunityNodeDegreePlacement
 from repro.social.graph import CoauthorshipGraph, ordered_induced_view
-from repro.social.metrics import _CSR_CACHE, degree_vector
+from repro.social.metrics import _ARRAYS_CACHE, GraphArrays, degree_vector
 
 
 def reference(graph: CoauthorshipGraph) -> list:
@@ -50,7 +51,7 @@ class TestInducedViewFastPath:
         g, keep = case
         view = CoauthorshipGraph(g).subgraph_view(keep)
         assert ordered(degree_vector(view)) == reference(view)
-        assert isinstance(_CSR_CACHE.get(g), tuple)  # the fast path ran
+        assert isinstance(_ARRAYS_CACHE.get(g), GraphArrays)  # the fast path ran
 
     def test_empty_view(self):
         g = nx.path_graph(["a", "b", "c"])
@@ -74,19 +75,26 @@ class TestInducedViewFastPath:
         inner = ordered_induced_view(g, ["a", "b", "c", "d"])
         outer = CoauthorshipGraph(ordered_induced_view(inner, ["b", "c", "d"]))
         assert ordered(degree_vector(outer)) == reference(outer)
-        assert inner not in _CSR_CACHE
+        assert inner not in _ARRAYS_CACHE
 
-    def test_self_loop_base_falls_back(self):
+    def test_self_loop_base_counts_loop_twice(self):
         g = nx.path_graph(["a", "b", "c"])
         g.add_edge("b", "b")
         view = CoauthorshipGraph(ordered_induced_view(g, ["a", "b"]))
         assert ordered(degree_vector(view)) == reference(view) == [("a", 1), ("b", 3)]
-        assert _CSR_CACHE[g] is None
+        assert g in _ARRAYS_CACHE
+        assert ordered(degree_vector(CoauthorshipGraph(g))) == [("a", 1), ("b", 4), ("c", 1)]
 
-    def test_plain_graph_falls_back(self):
-        g = nx.star_graph(4)
-        assert ordered(degree_vector(CoauthorshipGraph(g))) == reference(CoauthorshipGraph(g))
-        assert g not in _CSR_CACHE
+    @settings(max_examples=100, deadline=None)
+    @given(graphs_and_subsets(), st.booleans())
+    def test_plain_graph_reads_bundle(self, case, loop):
+        g, _ = case
+        if loop and len(g):
+            first = next(iter(g))
+            g.add_edge(first, first)
+        graph = CoauthorshipGraph(g)
+        assert ordered(degree_vector(graph)) == reference(graph)
+        assert g in _ARRAYS_CACHE
 
     def test_base_growing_nodes_is_reindexed(self):
         g = nx.path_graph(["a", "b", "c"])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import GraphError
 from repro.ids import AuthorId
@@ -63,14 +64,40 @@ class TestClustering:
         g = CoauthorshipGraph(nx.Graph())
         assert clustering_coefficients(g) == {}
 
-    def test_dense_fallback_agrees(self, triangle_plus_tail, monkeypatch):
-        import repro.social.metrics as m
+    def test_self_loops_ignored(self):
+        """A self-loop is neither a triangle nor a coauthor: with the loop
+        counted, ``a`` and ``b`` scored above 1."""
+        g = nx.Graph([("a", "b"), ("b", "c"), ("a", "c"), ("c", "d"), ("a", "a")])
+        assert clustering_coefficients(CoauthorshipGraph(g)) == {
+            "a": 1.0,
+            "b": 1.0,
+            "c": 1 / 3,
+            "d": 0.0,
+        }
 
-        dense = clustering_coefficients(triangle_plus_tail)
-        monkeypatch.setattr(m, "_DENSE_LIMIT", 0)
-        sparse = clustering_coefficients(triangle_plus_tail)
-        for k in dense:
-            assert dense[k] == pytest.approx(sparse[k])
+    def test_synthetic_ego_equals_networkx_exactly(self, synthetic):
+        from repro.social.ego import ego_corpus
+
+        corpus, seed = synthetic
+        g = build_coauthorship_graph(ego_corpus(corpus, seed, hops=2))
+        ours = clustering_coefficients(g)
+        assert list(ours) == g.nodes()
+        assert ours == nx.clustering(g.nx)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=30),
+        st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=150),
+    )
+    def test_random_graphs_equal_networkx_exactly(self, n, pairs):
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((u, v) for u, v in pairs if u < n and v < n)
+        ours = clustering_coefficients(CoauthorshipGraph(g))
+        theirs = nx.clustering(g) if n else {}
+        assert list(ours) == list(theirs)
+        for node, value in ours.items():
+            assert value == theirs[node] and isinstance(value, float)
 
 
 class TestCentralities:
